@@ -333,15 +333,7 @@ class FlattenedForest:
                     > (p & 511) - 1
                 )
                 nodes = (p >> 18) + go_right
-            leaf_values = values[nodes]  # (trees, block)
-
-            # Accumulate in the reference's tree order — summing the
-            # matrix with one reduction would change float association
-            # and break bit-identity with the sequential boosting loop.
-            block = np.full(stop - start, base_score, dtype=np.float64)
-            for t in range(leaf_values.shape[0]):
-                block = block + leaf_values[t]
-            raw[start:stop] = block
+            raw[start:stop] = _sum_trees(values[nodes], base_score)
         return raw
 
     def _predict_raw_unpacked(
@@ -354,12 +346,22 @@ class FlattenedForest:
             feat = self.feature[nodes]
             go_left = binned[rows, feat] <= self.threshold[nodes]
             nodes = np.where(go_left, self.left[nodes], self.right[nodes])
-        leaf_values = self.value[nodes]  # (trees, batch)
+        return _sum_trees(self.value[nodes], base_score)
 
-        raw = np.full(n_rows, base_score, dtype=np.float64)
-        for t in range(leaf_values.shape[0]):
-            raw = raw + leaf_values[t]
-        return raw
+
+def _sum_trees(leaf_values: np.ndarray, base_score: float) -> np.ndarray:
+    """``base + v[0] + v[1] + ...`` per column of a ``(trees, rows)`` matrix.
+
+    Adds in the reference's tree order: ``np.add.accumulate`` down the
+    tree axis is a sequential running sum, so every row gets the same
+    roundings as the boosting loop's ``raw = raw + value``. A pairwise
+    reduction (``sum``) would change the association and break
+    bit-identity. ``base + v[0]`` equals the loop's first step because
+    IEEE addition commutes. ``leaf_values`` is overwritten.
+    """
+    leaf_values[0] += base_score
+    np.add.accumulate(leaf_values, axis=0, out=leaf_values)
+    return leaf_values[-1]
 
 
 # ----------------------------------------------------------------------

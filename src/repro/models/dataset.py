@@ -27,8 +27,9 @@ from repro.arepas.augmentation import (
 from repro.arepas.simulator import AREPAS
 from repro.cache import ArtifactCache, features_cache_key, pcc_cache_key
 from repro.exceptions import ModelError
-from repro.features.graph_features import GraphSample, plan_to_graph_sample
-from repro.features.job_features import job_vector
+from repro.features.graph_features import GraphSample, graph_sample_from_matrix
+from repro.features.job_features import job_vector_from_matrix
+from repro.features.operator_features import plan_feature_matrix
 from repro.obs import trace
 from repro.parallel import pmap
 from repro.pcc.curve import PowerLawPCC
@@ -238,7 +239,11 @@ def _featurize_plan(
         cached = cache.get(key, kind="features")
         if cached is not None:
             return cached
-    features = (job_vector(record.plan), plan_to_graph_sample(record.plan))
+    matrix = plan_feature_matrix(record.plan)
+    features = (
+        job_vector_from_matrix(matrix, record.plan),
+        graph_sample_from_matrix(matrix, record.plan),
+    )
     if cache is not None:
         cache.put(key, features, kind="features")
     return features

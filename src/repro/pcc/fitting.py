@@ -15,7 +15,13 @@ from repro.exceptions import FittingError
 from repro.obs import get_registry, trace
 from repro.pcc.curve import PowerLawPCC
 
-__all__ = ["fit_power_law", "fit_observations", "fit_from_skyline", "fit_quality"]
+__all__ = [
+    "fit_power_law",
+    "fit_power_laws",
+    "fit_observations",
+    "fit_from_skyline",
+    "fit_quality",
+]
 
 
 def fit_power_law(
@@ -24,6 +30,8 @@ def fit_power_law(
     weights: np.ndarray | None = None,
 ) -> PowerLawPCC:
     """Least-squares power-law fit in log-log space.
+
+    The one-row case of :func:`fit_power_laws`.
 
     Parameters
     ----------
@@ -43,34 +51,91 @@ def fit_power_law(
     runtimes = np.asarray(runtimes, dtype=float)
     if tokens.shape != runtimes.shape or tokens.ndim != 1:
         raise FittingError("tokens and runtimes must be equal-length vectors")
-    if tokens.size < 2:
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)[None]
+    a, log_b = fit_power_laws(tokens[None], runtimes[None], weights)
+    return PowerLawPCC.from_log_parameters(a[0], log_b[0])
+
+
+def fit_power_laws(
+    tokens: np.ndarray,
+    runtimes: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`fit_power_law`: ``(a, log b)`` of every row.
+
+    Row ``i`` of the ``(M, N)`` inputs is one fit. Every step is
+    elementwise or a sum along a row of a C-contiguous array, which
+    numpy adds in the same order as the 1-D sum of that row alone, so
+    each row's parameters equal its own :func:`fit_power_law` bit for
+    bit. A batch with a degenerate row (including one whose parameters
+    :class:`~repro.pcc.curve.PowerLawPCC` would reject) raises the
+    :class:`FittingError` that the first such row raises alone.
+    """
+    tokens = np.ascontiguousarray(tokens, dtype=float)
+    runtimes = np.ascontiguousarray(runtimes, dtype=float)
+    if tokens.shape != runtimes.shape or tokens.ndim != 2:
+        raise FittingError("tokens and runtimes must be equal-length vectors")
+    if tokens.shape[1] < 2:
         raise FittingError("need at least two observations to fit a PCC")
+    # Unit weights are exact: 1 * v == v, and the weight sum is N.
+    w, w_sum = 1.0, float(tokens.shape[1])
+    bad_weights = np.zeros(tokens.shape[0], dtype=bool)
+    if weights is not None:
+        weights = np.ascontiguousarray(weights, dtype=float)
+        if weights.shape != tokens.shape:
+            bad_weights[:] = True
+        else:
+            w, w_sum = weights, weights.sum(axis=1)
+            bad_weights = (weights < 0).any(axis=1) | (w_sum == 0)
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.log(tokens)
+        y = np.log(runtimes)
+        x_mean = (w * x).sum(axis=1) / w_sum
+        y_mean = (w * y).sum(axis=1) / w_sum
+        dx = x - x_mean[:, None]
+        var_x = (w * dx**2).sum(axis=1)
+        cov_xy = (w * dx * (y - y_mean[:, None])).sum(axis=1)
+        a = cov_xy / var_x
+        log_b = y_mean - a * x_mean
+        b = np.exp(log_b)
+
+    # A row fails a check of fit_power_law exactly when it fails this
+    # screen: a non-positive or NaN input makes var_x, a or b NaN or
+    # infinite. So the first row it stops is the first that fails.
+    passed = (
+        (var_x > 0)
+        & np.isfinite(a)
+        & (b > 0)
+        & (b < np.inf)
+        & (tokens != tokens[:, :1]).any(axis=1)
+        & ~bad_weights
+    )
+    if not passed.all():
+        row = int(np.argmin(passed))
+        _raise_for_row(
+            tokens[row], runtimes[row], bad_weights[row], var_x[row], a[row],
+            log_b[row],
+        )
+    if trace.enabled:
+        get_registry().counter("pcc_power_law_fits").increment(len(a))
+    return a, log_b
+
+
+def _raise_for_row(tokens, runtimes, bad_weights, var_x, a, log_b) -> None:
+    """Raise what :func:`fit_power_law` raises on one failing row."""
     if np.any(tokens <= 0) or np.any(runtimes <= 0):
         raise FittingError("tokens and runtimes must be positive")
     if np.unique(tokens).size < 2:
         raise FittingError("need at least two distinct token counts")
-
-    x = np.log(tokens)
-    y = np.log(runtimes)
-    if weights is None:
-        w = np.ones_like(x)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != x.shape or np.any(w < 0) or w.sum() == 0:
-            raise FittingError("weights must be non-negative and not all zero")
-
-    w_sum = w.sum()
-    x_mean = (w * x).sum() / w_sum
-    y_mean = (w * y).sum() / w_sum
-    var_x = (w * (x - x_mean) ** 2).sum()
+    if bad_weights:
+        raise FittingError("weights must be non-negative and not all zero")
     if var_x <= 0:
         raise FittingError("token counts are not distinguishable in log space")
-    cov_xy = (w * (x - x_mean) * (y - y_mean)).sum()
-    a = cov_xy / var_x
-    log_b = y_mean - a * x_mean
-    if trace.enabled:
-        get_registry().counter("pcc_power_law_fits").increment()
-    return PowerLawPCC.from_log_parameters(a, log_b)
+    # Raises what PowerLawPCC rejects (an overflowing b among them).
+    with np.errstate(over="ignore"):
+        PowerLawPCC.from_log_parameters(a, log_b)
 
 
 def fit_observations(

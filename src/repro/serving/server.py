@@ -579,7 +579,7 @@ class AllocationServer:
         """Features for one pending request: shipped-in or cache-derived."""
         if pending.features is not None:
             return pending.features
-        return self.feature_cache.features_for(pending.plan)
+        return self.feature_cache.features_for(pending.plan, pending.signature)
 
     def _score(
         self, live: list[_Pending], features: list

@@ -199,17 +199,46 @@ class TokenRecommendation:
         )
 
 
-@dataclass(frozen=True)
 class PlanFeatures:
     """Both model-facing representations of one compile-time plan.
 
     Produced by :func:`featurize`; pure (depends only on the plan), so
     serving layers can cache it and hand it back to
     :meth:`ScoringPipeline.score_batch` to skip re-featurization.
+
+    ``graph`` (the GNN input) is built from the plan on first read: the
+    job-vector models never read it, so serving them skips the
+    adjacency and its normalisation. ``graph`` is None for features
+    that arrive without a plan (the sharded front end's shipped
+    vectors).
     """
 
-    job_vector: np.ndarray
-    graph: GraphSample
+    __slots__ = ("job_vector", "_graph", "_graph_source")
+
+    def __init__(
+        self, job_vector: np.ndarray, graph: GraphSample | None = None
+    ) -> None:
+        self.job_vector = job_vector
+        self._graph = graph
+        self._graph_source: tuple[np.ndarray, QueryPlan] | None = None
+
+    @classmethod
+    def _deferred(
+        cls, job_vector: np.ndarray, matrix: np.ndarray, plan: QueryPlan
+    ) -> "PlanFeatures":
+        """Features whose graph is built from ``matrix`` on first read."""
+        features = cls(job_vector)
+        features._graph_source = (matrix, plan)
+        return features
+
+    @property
+    def graph(self) -> GraphSample | None:
+        source = self._graph_source
+        if source is not None:
+            # Two threads racing here build equal samples; either wins.
+            self._graph = graph_sample_from_matrix(*source)
+            self._graph_source = None
+        return self._graph
 
 
 def featurize(
@@ -218,15 +247,14 @@ def featurize(
     """Featurize a plan once for every model family.
 
     Runs the per-operator featurization (the expensive step) a single
-    time and derives both the aggregated job vector (XGBoost/NN input)
-    and the graph sample (GNN input) from the same matrix — previously
-    each representation recomputed the matrix independently.
+    time; the aggregated job vector (XGBoost/NN input) is derived from
+    the matrix now, the graph sample (GNN input) from the same matrix
+    when :attr:`PlanFeatures.graph` is first read.
     """
     with trace.span("tasq.featurize", job=plan.job_id):
         matrix = plan_feature_matrix(plan, schema)
-        features = PlanFeatures(
-            job_vector=job_vector_from_matrix(matrix, plan, schema),
-            graph=graph_sample_from_matrix(matrix, plan),
+        features = PlanFeatures._deferred(
+            job_vector_from_matrix(matrix, plan, schema), matrix, plan
         )
     if trace.enabled:
         get_registry().counter("tasq_plans_featurized").increment()
@@ -237,6 +265,7 @@ def _scoring_dataset(
     job_ids: list[str],
     tokens: np.ndarray,
     features: list[PlanFeatures],
+    model: PCCPredictor,
 ) -> PCCDataset:
     """Wrap featurized compile-time jobs into the dataset shape models eat.
 
@@ -245,8 +274,10 @@ def _scoring_dataset(
     token counts. Only identifiers and :class:`PlanFeatures` are needed,
     so callers holding precomputed features (a serving feature cache, or
     a shard worker reading vectors out of shared memory) never touch a
-    :class:`~repro.scope.plan.QueryPlan` here.
+    :class:`~repro.scope.plan.QueryPlan` here. Graph samples are read
+    (and so built) only for a ``model`` that uses them.
     """
+    with_graph = getattr(model, "uses_graph_features", True)
     placeholder = PowerLawPCC(a=-1.0, b=1.0)
     dataset = PCCDataset()
     for job_id, requested, feats in zip(job_ids, tokens, features):
@@ -257,7 +288,7 @@ def _scoring_dataset(
                 observed_runtime=1.0,
                 target_pcc=placeholder,
                 job_features=feats.job_vector,
-                graph=feats.graph,
+                graph=feats.graph if with_graph else None,
                 point_observations=(),
             )
         )
@@ -348,7 +379,10 @@ class ScoringPipeline:
         tokens_arr = np.asarray(requested_tokens, float)
         with trace.span("tasq.score_batch", batch=len(plans)):
             dataset = _scoring_dataset(
-                job_ids, tokens_arr, [featurize(plan) for plan in plans]
+                job_ids,
+                tokens_arr,
+                [featurize(plan) for plan in plans],
+                self.model,
             )
             pccs, intervals = self._predict_pccs(dataset)
         return self._finalize(
@@ -380,7 +414,7 @@ class ScoringPipeline:
         # Features precomputed: wrapping them into the dataset shape
         # is cheap bookkeeping — keep it out of the traced span so
         # `tasq.score_batch` measures actual scoring work.
-        dataset = _scoring_dataset(job_ids, tokens_arr, features)
+        dataset = _scoring_dataset(job_ids, tokens_arr, features, self.model)
         with trace.span("tasq.score_batch", batch=len(job_ids)):
             pccs, intervals = self._predict_pccs(dataset)
         return self._finalize(

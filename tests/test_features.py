@@ -16,7 +16,14 @@ from repro.features import (
     plan_feature_matrix,
     plan_to_graph_sample,
 )
-from repro.scope import OperatorNode, PartitioningMethod, QueryPlan
+from repro.scope import (
+    WORKLOAD_FAMILIES,
+    OperatorNode,
+    PartitioningMethod,
+    QueryPlan,
+    WorkloadGenerator,
+    make_family_config,
+)
 
 
 @pytest.fixture()
@@ -76,6 +83,22 @@ class TestSchema:
         assert names[-2:] == ["num_operators", "num_stages"]
 
 
+def _reference_operator_vector(node, schema=OPERATOR_SCHEMA):
+    """Table 1 featurization of one operator, field by field."""
+    vector = np.zeros(schema.operator_dim)
+    continuous = np.array([getattr(node, name) for name in schema.continuous],
+                          dtype=float)
+    vector[schema.continuous_slice()] = np.log1p(np.clip(continuous, 0.0, None))
+    vector[schema.discrete_slice()] = [
+        float(getattr(node, name)) for name in schema.discrete
+    ]
+    kinds = schema.operator_kind_slice()
+    vector[kinds.start + schema.operator_kinds.index(node.kind)] = 1.0
+    parts = schema.partitioning_slice()
+    vector[parts.start + schema.partitioning_methods.index(node.partitioning)] = 1.0
+    return vector
+
+
 class TestOperatorVector:
     def test_one_hot_positions(self, small_plan):
         vector = operator_vector(small_plan.nodes[1])
@@ -97,11 +120,40 @@ class TestOperatorVector:
         assert list(discrete) == [4.0, 0.0, 2.0]
 
     def test_plan_matrix_in_topological_order(self, small_plan):
-        matrix = plan_feature_matrix(small_plan)
-        assert matrix.shape == (3, 49)
-        for row, op_id in zip(matrix, small_plan.topological_order):
-            expected = operator_vector(small_plan.nodes[op_id])
-            assert np.allclose(row, expected)
+        clipped = QueryPlan(
+            job_id="negative",
+            nodes={
+                0: OperatorNode(
+                    op_id=0, kind="Extract", output_cardinality=-50.0,
+                    leaf_input_cardinality=-1e-9, average_row_length=-3.0,
+                    cost_subtree=-7.5, cost_exclusive=0.0, cost_total=2.0,
+                ),
+                1: OperatorNode(
+                    op_id=1, kind="Output", children=(0,),
+                    children_input_cardinality=-1.0, cost_total=-4.0,
+                    partitioning=PartitioningMethod.BROADCAST,
+                ),
+            },
+        )
+        single = QueryPlan(
+            job_id="single",
+            nodes={0: OperatorNode(op_id=0, kind="TableScan",
+                                   output_cardinality=12.0)},
+        )
+        plans = [small_plan, clipped, single]
+        for family in WORKLOAD_FAMILIES:
+            generator = WorkloadGenerator(make_family_config(family), seed=4)
+            plans.extend(job.plan for job in generator.generate(12))
+
+        for plan in plans:
+            matrix = plan_feature_matrix(plan)
+            assert matrix.shape == (plan.num_operators, 49)
+            for row, op_id in zip(matrix, plan.topological_order):
+                node = plan.nodes[op_id]
+                expected = _reference_operator_vector(node)
+                assert np.array_equal(row, expected)
+                assert np.array_equal(operator_vector(node), expected)
+        assert plan_feature_matrix(clipped)[0, 0] == 0.0  # log1p(clip(-50))
 
 
 class TestJobVector:

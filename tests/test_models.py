@@ -17,6 +17,8 @@ from repro.models import (
     reference_window,
 )
 from repro.ml.losses import LF1, LF3
+from repro.models.dataset import PCCDataset
+from repro.tasq import ScoringPipeline, featurize
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +187,21 @@ class TestGNNModel:
         once = fitted_gnn.predict_parameters(dataset)
         again = fitted_gnn.predict_parameters(dataset)
         assert np.allclose(once, again)
+
+    def test_scoring_reads_graphs_built_from_served_features(
+        self, fitted_gnn, dataset, repository
+    ):
+        """Served features build their graph on first read, for the GNN."""
+        plans = {record.job_id: record.plan for record in repository}
+        examples = dataset.examples[:6]
+        features = [featurize(plans[e.job_id]) for e in examples]
+        recommendations = ScoringPipeline(fitted_gnn).score_features(
+            [e.job_id for e in examples],
+            [int(e.observed_tokens) for e in examples],
+            features,
+        )
+        expected = fitted_gnn.predict_pccs(PCCDataset(examples=examples))
+        assert [r.pcc for r in recommendations] == expected
 
 
 class TestEvaluation:

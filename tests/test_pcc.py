@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arepas import default_token_grid
 from repro.exceptions import FittingError
@@ -11,6 +13,7 @@ from repro.pcc import (
     fit_from_skyline,
     fit_observations,
     fit_power_law,
+    fit_power_laws,
     fit_quality,
     optimal_tokens,
     tokens_for_slowdown,
@@ -69,6 +72,132 @@ class TestPowerLawPCC:
     def test_speedup(self):
         pcc = PowerLawPCC(a=-1.0, b=100.0)
         assert pcc.speedup(10, 20) == pytest.approx(2.0)
+
+
+def _reference_fit(tokens, runtimes, weights=None):
+    """Weighted least squares of one 1-D fit, step by step: ``(a, log b)``.
+
+    Raises what ``fit_power_law`` raises, in the same order.
+    """
+    if tokens.size < 2:
+        raise FittingError("need at least two observations to fit a PCC")
+    if np.any(tokens <= 0) or np.any(runtimes <= 0):
+        raise FittingError("tokens and runtimes must be positive")
+    if np.unique(tokens).size < 2:
+        raise FittingError("need at least two distinct token counts")
+    x = np.log(tokens)
+    y = np.log(runtimes)
+    w = np.ones_like(x) if weights is None else weights
+    if w.shape != x.shape or np.any(w < 0) or w.sum() == 0:
+        raise FittingError("weights must be non-negative and not all zero")
+    x_mean = (w * x).sum() / w.sum()
+    y_mean = (w * y).sum() / w.sum()
+    var_x = (w * (x - x_mean) ** 2).sum()
+    if var_x <= 0:
+        raise FittingError("token counts are not distinguishable in log space")
+    a = (w * (x - x_mean) * (y - y_mean)).sum() / var_x
+    log_b = y_mean - a * x_mean
+    PowerLawPCC.from_log_parameters(a, log_b)  # its own checks
+    return a, log_b
+
+
+_positive = st.floats(min_value=1e-3, max_value=1e6)
+
+
+@st.composite
+def _fit_batches(draw):
+    """Mostly valid fits, with some rows made degenerate on purpose."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(2, 11))
+
+    def matrix(values):
+        row = st.lists(values, min_size=cols, max_size=cols)
+        return np.array(draw(st.lists(row, min_size=rows, max_size=rows)))
+
+    def some_row():
+        return draw(st.integers(0, rows - 1))
+
+    tokens = matrix(st.one_of(_positive, st.sampled_from([1.0, 2.0, 64.0])))
+    runtimes = matrix(_positive)
+    weights = None
+    if draw(st.booleans()):
+        weights = matrix(st.floats(min_value=0.0, max_value=10.0))
+    for _ in range(draw(st.integers(0, 2))):
+        flaw = draw(st.sampled_from(
+            ["token", "runtime", "repeated", "weight", "zero weights"]
+        ))
+        row, col = some_row(), draw(st.integers(0, cols - 1))
+        bad = draw(st.sampled_from([0.0, -3.0]))
+        if flaw == "token":
+            tokens[row, col] = bad
+        elif flaw == "runtime":
+            runtimes[row, col] = bad
+        elif flaw == "repeated":
+            tokens[row] = tokens[row, 0]
+        elif weights is not None:
+            if flaw == "weight":
+                weights[row, col] = -1.0
+            else:
+                weights[row] = 0.0
+    return tokens, runtimes, weights
+
+
+class TestBatchedFitting:
+    @settings(max_examples=300, deadline=None)
+    @given(_fit_batches())
+    def test_rows_equal_scalar_fit_bit_for_bit(self, batch):
+        tokens, runtimes, weights = batch
+        outcomes = []
+        for i in range(tokens.shape[0]):
+            row_weights = None if weights is None else weights[i]
+            with np.errstate(all="ignore"):
+                try:
+                    expected = _reference_fit(tokens[i], runtimes[i], row_weights)
+                except FittingError as exc:
+                    expected = str(exc)
+            outcomes.append(expected)
+            # fit_power_law, the one-row case, on the row alone.
+            if isinstance(expected, str):
+                with pytest.raises(FittingError) as raised:
+                    fit_power_law(tokens[i], runtimes[i], row_weights)
+                assert str(raised.value) == expected
+            else:
+                pcc = fit_power_law(tokens[i], runtimes[i], row_weights)
+                assert pcc == PowerLawPCC.from_log_parameters(*expected)
+
+        failures = [o for o in outcomes if isinstance(o, str)]
+        if failures:
+            # Raises on the same rows: what the first failing row raises.
+            with pytest.raises(FittingError) as raised:
+                fit_power_laws(tokens, runtimes, weights)
+            assert str(raised.value) == failures[0]
+        else:
+            a, log_b = fit_power_laws(tokens, runtimes, weights)
+            assert np.array_equal(a, [o[0] for o in outcomes])
+            assert np.array_equal(log_b, [o[1] for o in outcomes])
+
+    def test_good_rows_fit_alone_after_a_bad_row_is_dropped(self):
+        tokens = np.array([[10.0, 20.0, 40.0], [5.0, 5.0, 5.0],
+                           [8.0, 16.0, 32.0]])
+        runtimes = np.array([[90.0, 50.0, 30.0], [9.0, 8.0, 7.0],
+                             [40.0, 30.0, 20.0]])
+        with pytest.raises(FittingError, match="distinct"):
+            fit_power_laws(tokens, runtimes)
+        a, log_b = fit_power_laws(tokens[[0, 2]], runtimes[[0, 2]])
+        for i, row in enumerate((0, 2)):
+            pcc = fit_power_law(tokens[row], runtimes[row])
+            assert (a[i], np.exp(log_b[i])) == (pcc.a, pcc.b)
+
+    def test_empty_batch_and_shape_checks(self):
+        a, log_b = fit_power_laws(np.empty((0, 3)), np.empty((0, 3)))
+        assert a.shape == log_b.shape == (0,)
+        with pytest.raises(FittingError):
+            fit_power_laws(np.ones(3), np.ones(3))
+        with pytest.raises(FittingError):
+            fit_power_laws(np.ones((2, 1)), np.ones((2, 1)))
+        with pytest.raises(FittingError, match="weights"):
+            fit_power_laws(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]),
+                           weights=np.ones((1, 3)))
 
 
 class TestFitting:

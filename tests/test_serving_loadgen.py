@@ -99,10 +99,16 @@ class TestClosedLoop:
         loadgen = LoadGenerator(workload_jobs, config)
         with make_server(workers=2) as server:
             cold = loadgen.run(server)
+            batches = server.metrics.counter("batches").value
+            scored = server.metrics.histogram("scoring_s").count
             warm = loadgen.run(server)
+            # The warm rerun is faster because it never reaches the model:
+            # no micro-batch is formed and no scoring call is timed.
+            assert server.metrics.counter("batches").value == batches
+            assert server.metrics.histogram("scoring_s").count == scored
+        assert batches > 0 and scored > 0
         assert warm.cache_hit_rate > cold.cache_hit_rate
         assert warm.cache_hit_rate == pytest.approx(1.0)
-        assert warm.latency_p50_s <= cold.latency_p50_s
 
     def test_all_requests_answered(self, workload_jobs):
         config = LoadgenConfig(requests=100, clients=4, seed=0)

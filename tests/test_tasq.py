@@ -211,6 +211,33 @@ class TestFeaturize:
         )
         np.testing.assert_allclose(features.graph.adjacency, direct.adjacency)
 
+    def test_graph_built_on_first_read_only(
+        self, trained, workload_jobs, monkeypatch
+    ):
+        import repro.tasq.pipeline as pipeline_module
+
+        built = []
+        build = pipeline_module.graph_sample_from_matrix
+        monkeypatch.setattr(
+            pipeline_module,
+            "graph_sample_from_matrix",
+            lambda *args: built.append(args) or build(*args),
+        )
+        jobs = workload_jobs[:4]
+        features = [featurize(job.plan) for job in jobs]
+        ScoringPipeline(trained.get("nn")).score_features(
+            [job.job_id for job in jobs],
+            [job.requested_tokens for job in jobs],
+            features,
+        )
+        assert built == []  # job-vector models never read the graph
+        graph = features[0].graph
+        assert features[0].graph is graph
+        assert len(built) == 1
+        direct = plan_to_graph_sample(jobs[0].plan)
+        assert np.array_equal(graph.node_features, direct.node_features)
+        assert np.array_equal(graph.adjacency, direct.adjacency)
+
     def test_precomputed_features_give_identical_recommendations(
         self, trained, workload_jobs
     ):
