@@ -1,8 +1,8 @@
 """Unified process-wide metrics: counters, gauges, labeled histograms.
 
-Promoted out of ``repro.serving.metrics`` (which now re-exports from
-here) so the simulator, the training pipeline, and the serving layer all
-record into one metric vocabulary. A deliberately small, dependency-free
+One registry type (re-exported on ``repro.serving``), so the simulator,
+the training pipeline, and the serving layer all record into one metric
+vocabulary. A deliberately small, dependency-free
 stand-in for a Prometheus client:
 
 * :class:`Counter` — monotone, thread-safe;

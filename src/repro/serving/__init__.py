@@ -6,8 +6,8 @@ compile time — as an in-process system: a bounded queue and worker
 pool with micro-batching (:mod:`~repro.serving.server`), signature-keyed
 recommendation/feature caches (:mod:`~repro.serving.cache`), token-bucket
 rate limiting plus a circuit breaker (:mod:`~repro.serving.admission`),
-degraded-mode fallbacks (:mod:`~repro.serving.fallback`), a metrics
-registry (:mod:`~repro.serving.metrics`), champion-challenger shadow
+degraded-mode fallbacks (:mod:`~repro.serving.fallback`), metrics
+re-exported from :mod:`repro.obs.metrics`, champion-challenger shadow
 scoring with a coverage-gated promotion rule
 (:mod:`~repro.serving.shadow`), a seeded load generator
 (:mod:`~repro.serving.loadgen`), and a shared-nothing multi-process
@@ -16,6 +16,7 @@ front end that scales the endpoint across cores
 :mod:`~repro.serving.ring`).
 """
 
+from repro.obs.metrics import Counter, LatencyHistogram, MetricsRegistry
 from repro.serving.admission import BreakerState, CircuitBreaker, TokenBucket
 from repro.serving.cache import (
     FeatureCache,
@@ -31,7 +32,6 @@ from repro.serving.fallback import (
     degraded_recommendation_for,
 )
 from repro.serving.loadgen import LoadGenerator, LoadgenConfig, LoadReport
-from repro.serving.metrics import Counter, LatencyHistogram, MetricsRegistry
 from repro.serving.ring import ConsistentHashRing
 from repro.serving.shadow import PromotionGate, ShadowDecision, ShadowState
 from repro.serving.shard import (

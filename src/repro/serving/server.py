@@ -20,10 +20,13 @@ in-process concurrent system:
   rate limit sheds over-rate traffic before it costs anything, and a
   full queue rejects with explicit backpressure instead of unbounded
   latency.
-* **micro-batching** — workers coalesce whatever is queued (up to
-  ``max_batch_size``, waiting at most ``max_batch_wait_s``) into one
-  :meth:`~repro.tasq.pipeline.ScoringPipeline.score_batch` call,
-  trading a bounded latency bump for vectorised model throughput.
+* **micro-batching** — group commit: one batch is scored at a time,
+  and the next batch is the first queued request plus whatever else
+  queued while the last one was being scored (up to
+  ``max_batch_size``), handed to one
+  :meth:`~repro.tasq.pipeline.ScoringPipeline.score_batch` call. Load
+  grows the batches; an idle server scores a lone request at once,
+  with no timed wait for stragglers.
 * **caching** (`repro.serving.cache`) — recommendation hits bypass the
   queue entirely; feature hits skip the expensive featurization step.
 * **failure containment** — scoring failures trip a circuit breaker;
@@ -58,6 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
 
 from repro.exceptions import ReproError, ServingError
 from repro.obs import trace
+from repro.obs.metrics import MetricsRegistry
 from repro.scope.plan import QueryPlan
 from repro.scope.repository import JobRepository
 from repro.scope.signatures import plan_signature
@@ -69,7 +73,6 @@ from repro.serving.fallback import (
     PassthroughFallback,
     degraded_recommendation_for,
 )
-from repro.serving.metrics import MetricsRegistry
 from repro.serving.shadow import PromotionGate, ShadowDecision, ShadowState
 from repro.tasq.model_store import ModelStore
 from repro.tasq.monitoring import PredictionMonitor
@@ -92,14 +95,15 @@ __all__ = [
 class ServerConfig:
     """Operating envelope of an :class:`AllocationServer`."""
 
-    #: Worker threads pulling from the request queue.
+    #: Worker threads pulling from the request queue. They take turns
+    #: at the scorer: a thread holds the server's scoring lock while it
+    #: forms, scores and answers one batch, so at most one micro-batch
+    #: is scored at a time.
     workers: int = 2
     #: Bound of the request queue; a full queue sheds new submissions.
     max_queue: int = 128
     #: Largest micro-batch handed to one ``score_batch`` call.
     max_batch_size: int = 8
-    #: How long a worker waits to grow a batch beyond its first request.
-    max_batch_wait_s: float = 0.002
     #: Per-request deadline (submit → scored); expired requests get the
     #: fallback answer. ``None`` disables deadlines.
     deadline_s: float | None = None
@@ -126,8 +130,6 @@ class ServerConfig:
             raise ServingError("queue bound must be at least 1")
         if self.max_batch_size < 1:
             raise ServingError("max batch size must be at least 1")
-        if self.max_batch_wait_s < 0:
-            raise ServingError("batch wait must be non-negative")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ServingError("deadline must be positive when set")
         if self.rate_limit_rps is not None and self.rate_limit_rps <= 0:
@@ -294,6 +296,7 @@ class AllocationServer:
         self._stop = threading.Event()
         self._running = False
         self._swap_lock = threading.Lock()
+        self._scoring_lock = threading.Lock()
         self._shadow_lock = threading.Lock()
         self._shadow: ShadowState | None = None
         #: Outcome of the most recent challenger (None = never staged).
@@ -495,23 +498,26 @@ class AllocationServer:
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
         while not self._stop.is_set():
-            try:
-                first = self._queue.get(timeout=0.05)
-            except queue_module.Empty:
+            # Group commit: one batch is scored at a time, and the next
+            # batch is whatever queued while it was being scored.
+            with self._scoring_lock:
+                batch = self._next_batch()
                 self._maybe_refresh_model()
-                continue
-            batch = [first]
-            batch_deadline = self._clock() + self.config.max_batch_wait_s
-            while len(batch) < self.config.max_batch_size:
-                remaining = batch_deadline - self._clock()
-                if remaining <= 0:
-                    break
-                try:
-                    batch.append(self._queue.get(timeout=remaining))
-                except queue_module.Empty:
-                    break
-            self._maybe_refresh_model()
-            self._process_batch(batch)
+                if batch:
+                    self._process_batch(batch)
+
+    def _next_batch(self) -> list[_Pending]:
+        """The first queued request plus whatever else is queued now."""
+        try:
+            batch = [self._queue.get(timeout=0.05)]
+        except queue_module.Empty:
+            return []
+        while len(batch) < self.config.max_batch_size:
+            try:
+                batch.append(self._queue.get_nowait())
+            except queue_module.Empty:
+                break
+        return batch
 
     def _process_batch(self, batch: list[_Pending]) -> None:
         with trace.span("serving.process_batch", batch=len(batch)):

@@ -65,13 +65,12 @@ from multiprocessing import resource_tracker, shared_memory
 import numpy as np
 
 from repro.exceptions import ServingError
-from repro.obs.metrics import relabel_state, state_delta
+from repro.obs.metrics import MetricsRegistry, relabel_state, state_delta
 from repro.parallel import START_METHOD
 from repro.scope.plan import QueryPlan
 from repro.scope.repository import JobRepository
 from repro.scope.signatures import plan_signature
 from repro.serving.cache import FeatureVectorCache
-from repro.serving.metrics import MetricsRegistry
 from repro.serving.ring import ConsistentHashRing
 from repro.serving.server import (
     AllocationServer,

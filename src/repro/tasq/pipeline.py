@@ -261,6 +261,11 @@ def featurize(
     return features
 
 
+#: Inert target of every scoring example (the class is frozen, so one
+#: instance serves every call).
+_PLACEHOLDER_PCC = PowerLawPCC(a=-1.0, b=1.0)
+
+
 def _scoring_dataset(
     job_ids: list[str],
     tokens: np.ndarray,
@@ -278,7 +283,6 @@ def _scoring_dataset(
     (and so built) only for a ``model`` that uses them.
     """
     with_graph = getattr(model, "uses_graph_features", True)
-    placeholder = PowerLawPCC(a=-1.0, b=1.0)
     dataset = PCCDataset()
     for job_id, requested, feats in zip(job_ids, tokens, features):
         dataset.examples.append(
@@ -286,7 +290,7 @@ def _scoring_dataset(
                 job_id=job_id,
                 observed_tokens=float(requested),
                 observed_runtime=1.0,
-                target_pcc=placeholder,
+                target_pcc=_PLACEHOLDER_PCC,
                 job_features=feats.job_vector,
                 graph=feats.graph if with_graph else None,
                 point_observations=(),

@@ -1,4 +1,4 @@
-"""Unit tests for the serving metrics registry (now an obs shim)."""
+"""Unit tests for the metrics registry, through its ``repro.serving`` re-exports."""
 
 import threading
 

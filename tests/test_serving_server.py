@@ -6,6 +6,7 @@ caching, shedding, circuit breaking, fallback, feedback, hot swap —
 from model quality and training cost.
 """
 
+import sys
 import threading
 import time
 
@@ -63,6 +64,29 @@ class StubPipeline:
             _recommend(plan, tokens)
             for plan, tokens in zip(plans, requested_tokens)
         ]
+
+
+class ConcurrencyCountingPipeline(StubPipeline):
+    """Records each batch's (job id, tokens) and the most concurrent calls."""
+
+    def __init__(self, gate=None):
+        super().__init__(gate=gate)
+        self.batches: list[list[tuple[str, int]]] = []
+        self.active = 0
+        self.max_active = 0
+
+    def score_batch(self, plans, requested_tokens, features=None):
+        with self._lock:
+            self.active += 1
+            self.max_active = max(self.max_active, self.active)
+            self.batches.append(
+                [(p.job_id, int(t)) for p, t in zip(plans, requested_tokens)]
+            )
+        try:
+            return super().score_batch(plans, requested_tokens, features)
+        finally:
+            with self._lock:
+                self.active -= 1
 
 
 class StubPredictor(PCCPredictor):
@@ -160,9 +184,7 @@ class TestScoringPaths:
         """N requests queued behind a busy worker → one score_batch call."""
         gate = threading.Event()
         pipeline = StubPipeline(gate=gate)
-        config = ServerConfig(
-            workers=1, max_batch_size=8, max_batch_wait_s=0.05
-        )
+        config = ServerConfig(workers=1, max_batch_size=8)
         with AllocationServer(pipeline, config) as server:
             blocker = server.submit(plans[0], 10)
             assert wait_until(lambda: len(pipeline.calls) == 1)
@@ -175,9 +197,7 @@ class TestScoringPaths:
     def test_batch_respects_max_size(self, plans):
         gate = threading.Event()
         pipeline = StubPipeline(gate=gate)
-        config = ServerConfig(
-            workers=1, max_batch_size=3, max_batch_wait_s=0.05, max_queue=32
-        )
+        config = ServerConfig(workers=1, max_batch_size=3, max_queue=32)
         with AllocationServer(pipeline, config) as server:
             blocker = server.submit(plans[0], 10)
             assert wait_until(lambda: len(pipeline.calls) == 1)
@@ -187,6 +207,47 @@ class TestScoringPaths:
                 f.result(timeout=5.0)
         assert max(pipeline.calls) <= 3
         assert pipeline.calls[1] == 3  # first drain takes a full batch
+
+    def test_workers_take_turns_and_batch_what_queued_meanwhile(self, plans):
+        """Two workers never score at once; the next batch is the queue."""
+        gate = threading.Event()
+        pipeline = ConcurrencyCountingPipeline(gate=gate)
+        config = ServerConfig(workers=2, max_batch_size=8)
+        with AllocationServer(pipeline, config) as server:
+            blocker = server.submit(plans[0], 10)
+            assert wait_until(lambda: len(pipeline.batches) == 1)
+            # The idle worker must not pick these up while the first
+            # batch is held: they wait in the queue for the next batch.
+            queued = [server.submit(plans[i], 10) for i in range(1, 5)]
+            assert server.metrics.snapshot()["gauges"]["queue_depth"] == 4
+            gate.set()
+            responses = [f.result(timeout=5.0) for f in [blocker, *queued]]
+        assert all(r.status is ResponseStatus.OK for r in responses)
+        assert pipeline.max_active == 1
+        assert pipeline.batches == [
+            [(plans[0].job_id, 10)],
+            [(plans[i].job_id, 10) for i in range(1, 5)],
+        ]
+
+    def test_many_workers_score_one_batch_at_a_time_in_order(self, plans):
+        """Stress: more workers than cores, frequent thread switches."""
+        pipeline = ConcurrencyCountingPipeline()
+        config = ServerConfig(workers=4, max_batch_size=8, max_queue=512)
+        # Distinct token counts: no request is a recommendation-cache hit.
+        requests = [(plan, 10 + i) for i, plan in enumerate(plans * 3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with AllocationServer(pipeline, config) as server:
+                futures = [server.submit(p, t) for p, t in requests]
+                responses = [f.result(timeout=10.0) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r.status is ResponseStatus.OK for r in responses)
+        assert pipeline.max_active == 1
+        scored = [item for batch in pipeline.batches for item in batch]
+        # One scorer over a FIFO queue scores in admission order.
+        assert scored == [(p.job_id, t) for p, t in requests]
 
     def test_works_with_real_scoring_pipeline(self, plans):
         pipeline = ScoringPipeline(StubPredictor())
@@ -324,7 +385,7 @@ class TestFailureContainment:
                 ]
 
         blocker_pipeline = PoisonedPipeline()
-        config = ServerConfig(workers=1, max_batch_size=8, max_batch_wait_s=0.05)
+        config = ServerConfig(workers=1, max_batch_size=8)
         with AllocationServer(blocker_pipeline, config) as server:
             # hold the worker with an in-flight batch so others coalesce
             hold = threading.Event()
